@@ -26,8 +26,15 @@ cargo run -q --release -p nocalert-bench --bin attack -- --smoke
 echo "== aging smoke (accumulating faults to an honest partition) =="
 cargo run -q --release -p nocalert-bench --bin aging -- --smoke
 
-echo "== perf smoke (>15% cycles/sec + campaign runs/sec regression gate) =="
+echo "== perf smoke (>15% cycles/sec + campaign/recovery runs/sec regression gate) =="
 cargo run -q --release -p nocalert-bench --bin perf -- --smoke
+
+echo "== recovery-sweep benchmark (job digests match perfbench/expected.json) =="
+# Recovery rollouts fork from a shared fault-free prefix; every job digest
+# of this short run must still equal the recorded from-scratch one.
+RECOVERY_SWEEP="$(python3 perfbench/run.py --workload recovery-sweep --seconds 5 --trace 0 | tail -n 1)"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+    "$RECOVERY_SWEEP" || { echo "recovery-sweep: $RECOVERY_SWEEP" >&2; exit 1; }
 
 echo "== service smoke (nocalertd end-to-end: submit, stream, SIGKILL, resume) =="
 cargo build -q --release -p nocalert-service

@@ -208,6 +208,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -240,9 +241,18 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse_json`] accepts. The parser
+/// recurses once per level, so without a cap a request body of a million
+/// `[` bytes would overflow the parsing thread's stack and abort the whole
+/// process; deeper documents are refused with a [`DeError`] instead. No
+/// document this workspace writes nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -290,57 +300,79 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            _ => Err(DeError::new(format!("unexpected byte at {}", self.pos))),
+        }
+    }
+
+    /// Parses the array or object at `pos` with `container`, one nesting
+    /// level deeper; refuses to open level [`MAX_DEPTH`] + 1.
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Value, DeError>,
+    ) -> Result<Value, DeError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(DeError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Value, DeError> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(DeError::new(format!("bad array at byte {}", self.pos))),
-                    }
-                }
+                _ => return Err(DeError::new(format!("bad array at byte {}", self.pos))),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, DeError> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let k = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let v = self.value()?;
+            fields.push((k, v));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Object(fields));
                 }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    fields.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(DeError::new(format!("bad object at byte {}", self.pos))),
-                    }
-                }
+                _ => return Err(DeError::new(format!("bad object at byte {}", self.pos))),
             }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(DeError::new(format!("unexpected byte at {}", self.pos))),
         }
     }
 
@@ -808,6 +840,23 @@ mod tests {
         Value::F64(2.0).write_json(&mut s);
         assert_eq!(s, "2.0");
         assert_eq!(Value::parse_json(&s).unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse_json(&nest(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Value::parse_json(&objects).is_ok());
+        let err = Value::parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // A million unclosed brackets: refused, not a stack overflow.
+        let err = Value::parse_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        assert!(Value::parse_json(&"{\"a\":".repeat(1_000_000)).is_err());
+        // Depth is nesting, not a count of containers seen.
+        let wide = format!("[{}[]]", "[[]],".repeat(10_000));
+        assert!(Value::parse_json(&wide).is_ok());
     }
 
     #[test]

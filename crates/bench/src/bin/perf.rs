@@ -16,6 +16,13 @@
 //!   [`golden::Campaign::run_many`] path (batched bit-plane lanes with
 //!   golden-prefix sharing) and the per-rollout scalar engine it is
 //!   proven equivalent to.
+//! * **recovery runs/sec** — complete closed-loop recovery rollouts
+//!   (checker bank, containment, ARQ transport, drain and delivery
+//!   verdict) through the production [`golden::RecoveryCampaign::run_specs`]
+//!   path on the same 8×8 / 2-VC network with the recovery sweep's
+//!   geometry, single-threaded. A fresh campaign per repetition, so the
+//!   shared fault-free prefix its rollouts fork from is built inside the
+//!   timed window.
 //!
 //! ```text
 //! cargo run --release -p nocalert-bench --bin perf -- \
@@ -34,15 +41,19 @@
 //!   baseline for a later comparison run).
 //! * `--smoke` — the CI regression gate: a shortened measurement compared
 //!   against the committed reference (`--ref`, default
-//!   `BENCH_nocsim.json`); exits 1 when current 8×8 cycles/sec **or**
-//!   campaign runs/sec fall more than `--tolerance` (default 15) percent
-//!   below the reference's `current` section. The campaign floor is
-//!   normalized by the co-measured 8×8 cycle rate so common-mode runner
-//!   slowdown cancels out of the comparison. Emits a machine-readable
-//!   report (measured metrics, per-metric deltas vs the reference, gate
-//!   verdicts) to `--json` (default `BENCH_nocsim.smoke.json`).
+//!   `BENCH_nocsim.json`); exits 1 when current 8×8 cycles/sec, campaign
+//!   runs/sec **or** recovery runs/sec fall more than `--tolerance`
+//!   (default 15) percent below the reference's `current` section. The
+//!   campaign and recovery floors are normalized by the co-measured 8×8
+//!   cycle rate so common-mode runner slowdown cancels out of the
+//!   comparison. Emits a machine-readable report (measured metrics,
+//!   per-metric deltas vs the reference, gate verdicts) to `--json`
+//!   (default `BENCH_nocsim.smoke.json`).
 
-use golden::{Campaign, CampaignConfig};
+use golden::{
+    standard_recovery_specs, Campaign, CampaignConfig, RecoveryCampaign, RecoveryCampaignConfig,
+    RecoveryCampaignOptions, RecoveryOptions,
+};
 use noc_sim::Network;
 use noc_types::NocConfig;
 use nocalert::AlertBank;
@@ -52,6 +63,10 @@ use std::time::Instant;
 
 /// Schema tag of the committed reference document.
 const SCHEMA: &str = "nocsim-perf-v2";
+
+/// Recovery rollouts per timed repetition: the job size of the
+/// `recovery-sweep` benchmark workload.
+const RECOVERY_RUNS: usize = 8;
 
 /// One set of measured throughput figures.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,6 +88,12 @@ struct Metrics {
     /// ([`golden::Campaign::run_site`]); the batched-vs-scalar ratio is
     /// the engine's standalone speedup.
     campaign_runs_per_sec_8x8_2vc_scalar: f64,
+    /// Complete recovery rollouts per wall-clock second on the same 8×8 /
+    /// 2-VC network (the first [`RECOVERY_RUNS`] standard specs, warm-up
+    /// 500, window 2,000, injection at cycle 1,000: the recovery sweep's
+    /// geometry), single worker thread, through
+    /// [`golden::RecoveryCampaign::run_specs`].
+    recovery_runs_per_sec_8x8_2vc: f64,
     /// Cycles stepped per mesh for the cycles/sec figures.
     measured_cycles: u64,
     /// Campaign rollouts timed for the batched runs/sec figure.
@@ -106,7 +127,9 @@ struct Reference {
     /// Pre-refactor numbers, measured with this same harness before the
     /// perf overhauls (allocation-free arena, batched bit-plane lanes)
     /// landed. `run_many` was the scalar engine then, so its batched and
-    /// scalar figures coincide.
+    /// scalar figures coincide. The recovery figure was measured later,
+    /// just before recovery rollouts began forking from a shared
+    /// fault-free prefix.
     baseline: Metrics,
     /// Post-refactor numbers.
     current: Metrics,
@@ -121,6 +144,9 @@ struct Reference {
     batched_over_scalar: f64,
     /// `current.cycles_per_sec_8x8 / baseline.cycles_per_sec_8x8`.
     cycle_speedup_8x8: f64,
+    /// `current.recovery_runs_per_sec_8x8_2vc / baseline.…` — the shared
+    /// recovery prefix's speedup.
+    recovery_speedup: f64,
 }
 
 /// One smoke-gate verdict.
@@ -157,7 +183,7 @@ struct SmokeReport {
 }
 
 /// The throughput figures of a [`Metrics`], by name, for delta tables.
-fn rates(m: &Metrics) -> [(&'static str, f64); 4] {
+fn rates(m: &Metrics) -> [(&'static str, f64); 5] {
     [
         ("cycles_per_sec_4x4", m.cycles_per_sec_4x4),
         ("cycles_per_sec_8x8", m.cycles_per_sec_8x8),
@@ -168,6 +194,10 @@ fn rates(m: &Metrics) -> [(&'static str, f64); 4] {
         (
             "campaign_runs_per_sec_8x8_2vc_scalar",
             m.campaign_runs_per_sec_8x8_2vc_scalar,
+        ),
+        (
+            "recovery_runs_per_sec_8x8_2vc",
+            m.recovery_runs_per_sec_8x8_2vc,
         ),
     ]
 }
@@ -260,6 +290,38 @@ fn measure_campaign(runs: usize, runs_scalar: usize, reps: usize) -> (f64, f64) 
     (batched, scalar)
 }
 
+/// Times the first [`RECOVERY_RUNS`] standard recovery rollouts (single
+/// worker) on the 8×8 / 2-VC sweep network and returns runs/sec — the
+/// fastest of `reps` repetitions, each on a fresh campaign so the shared
+/// prefix its rollouts fork from is built inside the timed window, as in
+/// a job.
+fn measure_recovery(reps: usize) -> f64 {
+    let noc = sweep_noc();
+    let opts = RecoveryOptions {
+        warmup: 500,
+        active_window: 2_000,
+        ..RecoveryOptions::paper_defaults()
+    };
+    let specs: Vec<_> = standard_recovery_specs(&noc, 1_000, 50, 10)
+        .into_iter()
+        .take(RECOVERY_RUNS)
+        .collect();
+    let cc = RecoveryCampaignConfig { noc, opts };
+    let mut best = f64::MIN;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let report = RecoveryCampaign::try_new(cc.clone())
+            .and_then(|c| c.run_specs(&specs, 1, &RecoveryCampaignOptions::default()))
+            .unwrap_or_else(|e| {
+                eprintln!("[perf] recovery sweep failed: {e}");
+                std::process::exit(2);
+            });
+        assert_eq!(report.reports.len(), specs.len());
+        best = best.max(specs.len() as f64 / t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
 fn measure(cycles: u64, runs: usize, runs_scalar: usize, reps: usize) -> Metrics {
     eprintln!("[perf] stepping 4x4 for {cycles} cycles (best of {reps})…");
     let c4 = measure_cycles(NocConfig::small_test(), cycles, reps);
@@ -270,11 +332,14 @@ fn measure(cycles: u64, runs: usize, runs_scalar: usize, reps: usize) -> Metrics
          (8x8/2-VC, best of {reps})…"
     );
     let (batched, scalar) = measure_campaign(runs, runs_scalar, reps);
+    eprintln!("[perf] timing {RECOVERY_RUNS} recovery rollouts (8x8/2-VC, best of {reps})…");
+    let recovery = measure_recovery(reps);
     Metrics {
         cycles_per_sec_4x4: c4,
         cycles_per_sec_8x8: c8,
         campaign_runs_per_sec_8x8_2vc: batched,
         campaign_runs_per_sec_8x8_2vc_scalar: scalar,
+        recovery_runs_per_sec_8x8_2vc: recovery,
         measured_cycles: cycles,
         measured_runs: runs,
         measured_runs_scalar: runs_scalar,
@@ -293,6 +358,10 @@ fn print_metrics(label: &str, m: &Metrics) {
     nocalert_bench::row(
         "campaign runs/sec 8x8/2-VC (scalar, 1 thread)",
         format!("{:.3}", m.campaign_runs_per_sec_8x8_2vc_scalar),
+    );
+    nocalert_bench::row(
+        "recovery runs/sec 8x8/2-VC (1 thread)",
+        format!("{:.3}", m.recovery_runs_per_sec_8x8_2vc),
     );
 }
 
@@ -359,30 +428,37 @@ fn smoke(args: &Args) -> i32 {
         None => (Vec::new(), Vec::new()),
         Some(r) => {
             let ds = deltas(&r.current, &m);
-            // The cycles gate is absolute. The campaign gate is
-            // host-speed-normalized: its floor scales by the co-measured
-            // 8×8 cycle rate of this very process, so common-mode runner
-            // slowdown (noisy neighbours, frequency throttling after the
-            // earlier CI phases) cancels out, while a genuine
-            // campaign-engine regression — which does not move the
-            // per-cycle stepping rate — still trips it.
-            let cycles_floor = r.current.cycles_per_sec_8x8 * (1.0 - tolerance / 100.0);
+            // The cycles gate is absolute. The campaign and recovery
+            // gates are host-speed-normalized: their floors scale by the
+            // co-measured 8×8 cycle rate of this very process, so
+            // common-mode runner slowdown (noisy neighbours, frequency
+            // throttling after the earlier CI phases) cancels out, while a
+            // genuine engine regression — which does not move the
+            // per-cycle stepping rate — still trips them.
+            let keep = 1.0 - tolerance / 100.0;
             let host_scale = m.cycles_per_sec_8x8 / r.current.cycles_per_sec_8x8;
-            let campaign_floor =
-                r.current.campaign_runs_per_sec_8x8_2vc * host_scale * (1.0 - tolerance / 100.0);
+            let gate = |metric: &str, floor: f64, current: f64| Gate {
+                metric: metric.to_string(),
+                floor,
+                current,
+                passed: current >= floor,
+            };
             let gates = vec![
-                Gate {
-                    metric: "cycles_per_sec_8x8".to_string(),
-                    floor: cycles_floor,
-                    current: m.cycles_per_sec_8x8,
-                    passed: m.cycles_per_sec_8x8 >= cycles_floor,
-                },
-                Gate {
-                    metric: "campaign_runs_per_sec_8x8_2vc".to_string(),
-                    floor: campaign_floor,
-                    current: m.campaign_runs_per_sec_8x8_2vc,
-                    passed: m.campaign_runs_per_sec_8x8_2vc >= campaign_floor,
-                },
+                gate(
+                    "cycles_per_sec_8x8",
+                    r.current.cycles_per_sec_8x8 * keep,
+                    m.cycles_per_sec_8x8,
+                ),
+                gate(
+                    "campaign_runs_per_sec_8x8_2vc",
+                    r.current.campaign_runs_per_sec_8x8_2vc * host_scale * keep,
+                    m.campaign_runs_per_sec_8x8_2vc,
+                ),
+                gate(
+                    "recovery_runs_per_sec_8x8_2vc",
+                    r.current.recovery_runs_per_sec_8x8_2vc * host_scale * keep,
+                    m.recovery_runs_per_sec_8x8_2vc,
+                ),
             ];
             (ds, gates)
         }
@@ -448,6 +524,7 @@ fn main() {
         batched_over_scalar: m.campaign_runs_per_sec_8x8_2vc
             / m.campaign_runs_per_sec_8x8_2vc_scalar,
         cycle_speedup_8x8: m.cycles_per_sec_8x8 / baseline.cycles_per_sec_8x8,
+        recovery_speedup: m.recovery_runs_per_sec_8x8_2vc / baseline.recovery_runs_per_sec_8x8_2vc,
         deltas: deltas(&baseline, &m),
         baseline,
         current: m,
@@ -463,6 +540,10 @@ fn main() {
     nocalert_bench::row(
         "8x8 cycle speedup",
         format!("{:.2}x", reference.cycle_speedup_8x8),
+    );
+    nocalert_bench::row(
+        "recovery speedup",
+        format!("{:.2}x", reference.recovery_speedup),
     );
     write_json(args.str("json").unwrap_or("BENCH_nocsim.json"), &reference);
 }

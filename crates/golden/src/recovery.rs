@@ -37,9 +37,10 @@ use noc_types::{Cycle, NocConfig, SimError};
 use nocalert::{info, AlertBank};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Everything configurable about one recovery rollout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -281,48 +282,95 @@ impl RecoveryHarness {
         spec: Option<&FaultSpec>,
         prepare: impl FnOnce(&mut Network),
     ) -> RecoveryRun {
+        let mut lp = self.fresh_loop();
+        prepare(&mut lp.net);
+        self.finish(spec, lp)
+    }
+
+    /// [`RecoveryHarness::run`] behind the campaign panic-isolation
+    /// boundary: a panicking rollout becomes a `Crashed` report instead of
+    /// taking the sweep down.
+    pub fn run_isolated(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
+        isolate(spec, || self.run(spec))
+    }
+
+    /// The closed loop at cycle 0: a network with containment enabled,
+    /// the full checker bank and the ARQ transport.
+    fn fresh_loop(&self) -> ClosedLoop {
         let mut net = Network::new(self.cfg.clone());
         net.enable_recovery(self.opts.policy);
-        prepare(&mut net);
-        let mut bank = AlertBank::new(&self.cfg);
-        // The full bank stays armed: the turn/progress checkers (inv 1/3)
-        // are region-aware — degraded routes around fenced ports and
-        // fault-region detours are excused per-RC-execution against the
-        // recorded routing registers, not by disarming the checkers.
-        let mut transport = Transport::new(&self.cfg, self.opts.arq);
+        ClosedLoop {
+            net,
+            // The full bank stays armed: the turn/progress checkers (inv
+            // 1/3) are region-aware — degraded routes around fenced ports
+            // and fault-region detours are excused per-RC-execution
+            // against the recorded routing registers, not by disarming the
+            // checkers.
+            bank: AlertBank::new(&self.cfg),
+            transport: Transport::new(&self.cfg, self.opts.arq),
+            consumed: 0,
+        }
+    }
+
+    /// Whether rollouts injecting at `start` may fork from a shared
+    /// fault-free prefix. Up to `start` such a rollout only runs the
+    /// active-window loop below both of its exits (the window end and the
+    /// cycle budget), so the prefix and a from-scratch rollout step the
+    /// very same cycles.
+    fn forkable(&self, start: Cycle) -> bool {
+        start <= self.active_end().min(self.opts.watchdog.cycle_budget)
+    }
+
+    /// The fault-free closed loop stepped to cycle `start` — the state
+    /// every [`RecoveryHarness::forkable`] rollout injecting at `start`
+    /// shares. Forking from it is exact: before its start an armed fault
+    /// is inert ([`noc_sim::FaultPlane::xf`] is the identity and counts
+    /// no hits, register upsets fire only at the start cycle itself).
+    fn prefix(&self, start: Cycle) -> ClosedLoop {
+        let mut lp = self.fresh_loop();
+        while lp.net.cycle() < start {
+            self.step_once(&mut lp);
+        }
+        lp
+    }
+
+    /// Arms `spec` (or nothing, for the baseline) on `lp` and runs the
+    /// rest of the rollout: the active window, the drain under the
+    /// watchdog, and the verdict. `lp` is a fresh loop or a fork of a
+    /// shared prefix that has not reached `spec`'s start.
+    fn finish(&self, spec: Option<&FaultSpec>, mut lp: ClosedLoop) -> RecoveryRun {
         if let Some(s) = spec {
-            net.arm_fault(s.site, s.kind, s.start);
+            lp.net.arm_fault(s.site, s.kind, s.start);
         }
 
         let dog = self.opts.watchdog;
         let active_end = self.active_end();
-        let mut consumed = 0usize;
         let mut hang: Option<Hang> = None;
 
-        while net.cycle() < active_end {
-            if net.cycle() >= dog.cycle_budget {
+        while lp.net.cycle() < active_end {
+            if lp.net.cycle() >= dog.cycle_budget {
                 hang = Some(Hang {
                     kind: HangKind::CycleBudget,
-                    at_cycle: net.cycle(),
+                    at_cycle: lp.net.cycle(),
                     stalled_for: 0,
                 });
                 break;
             }
-            self.step_once(&mut net, &mut bank, &mut transport, &mut consumed);
+            self.step_once(&mut lp);
         }
 
         if hang.is_none() {
-            net.set_injection_enabled(false);
-            let mut sig = net.progress_signature();
+            lp.net.set_injection_enabled(false);
+            let mut sig = lp.net.progress_signature();
             let mut stalled: Cycle = 0;
             loop {
-                if net.is_drained() && transport.quiescent() {
+                if lp.net.is_drained() && lp.transport.quiescent() {
                     break;
                 }
-                if net.cycle() >= dog.cycle_budget {
+                if lp.net.cycle() >= dog.cycle_budget {
                     hang = Some(Hang {
                         kind: HangKind::CycleBudget,
-                        at_cycle: net.cycle(),
+                        at_cycle: lp.net.cycle(),
                         stalled_for: stalled,
                     });
                     break;
@@ -330,16 +378,16 @@ impl RecoveryHarness {
                 // A non-quiescent transport is waiting on an armed
                 // retransmission timer — progress resumes by construction,
                 // so the stall check only applies once it has nothing left.
-                if transport.quiescent() && stalled >= dog.stall_window {
+                if lp.transport.quiescent() && stalled >= dog.stall_window {
                     hang = Some(Hang {
                         kind: HangKind::NoProgress,
-                        at_cycle: net.cycle(),
+                        at_cycle: lp.net.cycle(),
                         stalled_for: stalled,
                     });
                     break;
                 }
-                self.step_once(&mut net, &mut bank, &mut transport, &mut consumed);
-                let now = net.progress_signature();
+                self.step_once(&mut lp);
+                let now = lp.net.progress_signature();
                 if now == sig {
                     stalled += 1;
                 } else {
@@ -349,6 +397,12 @@ impl RecoveryHarness {
             }
         }
 
+        let ClosedLoop {
+            net,
+            bank,
+            transport,
+            ..
+        } = lp;
         let verdict = verify_delivery(&transport);
         // Partition classification outranks the watchdog: a mesh split in
         // two genuinely cannot deliver cross-partition traffic, and
@@ -379,54 +433,60 @@ impl RecoveryHarness {
         }
     }
 
-    /// [`RecoveryHarness::run`] behind the campaign panic-isolation
-    /// boundary: a panicking rollout becomes a `Crashed` report instead of
-    /// taking the sweep down.
-    pub fn run_isolated(&self, spec: Option<&FaultSpec>) -> RecoveryRun {
-        match catch_payload(|| self.run(spec)) {
-            Ok(run) => run,
-            Err(panic) => RecoveryRun {
-                spec: spec.copied(),
-                outcome: RecoveryOutcome::Crashed(panic),
-                verdict: DeliveryVerdict::Violated {
-                    undelivered: 0,
-                    gave_up: 0,
-                    duplicates: 0,
-                },
-                transport: TransportStats::default(),
-                recovery: RecoveryStats::default(),
-                trace: Vec::new(),
-                deliveries: Vec::new(),
-                alerts: 0,
-                checkers: Vec::new(),
-                first_alert_at: None,
-                fault_hits: 0,
-                end_cycle: 0,
-            },
-        }
-    }
-
     /// One simulated cycle of the closed loop: step the network under the
     /// checker bank and the transport, hand fresh alerts to containment
     /// (applied by the network at the start of the next cycle — the
     /// one-cycle reaction latency of a real alert wire), then let the
     /// transport fabricate control packets and fire timers.
-    fn step_once(
-        &self,
-        net: &mut Network,
-        bank: &mut AlertBank,
-        transport: &mut Transport,
-        consumed: &mut usize,
-    ) {
-        net.step_observed(&mut (&mut *bank, &mut *transport));
-        let fresh = bank.events_since(*consumed);
-        *consumed = bank.assertions().len();
+    fn step_once(&self, lp: &mut ClosedLoop) {
+        lp.net.step_observed(&mut (&mut lp.bank, &mut lp.transport));
+        let fresh = lp.bank.events_since(lp.consumed);
+        lp.consumed = lp.bank.assertions().len();
         for ev in fresh {
             if let Some(module) = info(ev.checker).module {
-                net.notify_alert(ev.router, ev.port, ev.vc, module.port_is_output());
+                lp.net
+                    .notify_alert(ev.router, ev.port, ev.vc, module.port_is_output());
             }
         }
-        transport.post_step(net);
+        lp.transport.post_step(&mut lp.net);
+    }
+}
+
+/// The closed loop between two cycles: the network, its checker bank,
+/// the ARQ transport, and how many bank assertions containment has
+/// already consumed. Cloning it forks a rollout.
+#[derive(Debug, Clone)]
+struct ClosedLoop {
+    net: Network,
+    bank: AlertBank,
+    transport: Transport,
+    consumed: usize,
+}
+
+/// Runs one rollout behind the campaign panic-isolation boundary: a
+/// panic becomes a `Crashed` report for `spec` instead of taking the
+/// sweep down.
+fn isolate(spec: Option<&FaultSpec>, rollout: impl FnOnce() -> RecoveryRun) -> RecoveryRun {
+    match catch_payload(rollout) {
+        Ok(run) => run,
+        Err(panic) => RecoveryRun {
+            spec: spec.copied(),
+            outcome: RecoveryOutcome::Crashed(panic),
+            verdict: DeliveryVerdict::Violated {
+                undelivered: 0,
+                gave_up: 0,
+                duplicates: 0,
+            },
+            transport: TransportStats::default(),
+            recovery: RecoveryStats::default(),
+            trace: Vec::new(),
+            deliveries: Vec::new(),
+            alerts: 0,
+            checkers: Vec::new(),
+            first_alert_at: None,
+            fault_hits: 0,
+            end_cycle: 0,
+        },
     }
 }
 
@@ -542,14 +602,24 @@ impl RecoveryJournal {
     }
 }
 
+/// A shared fault-free prefix and the injection cycle it was stepped
+/// to; `None` when building it panicked.
+type SharedPrefix = (Cycle, Option<Arc<ClosedLoop>>);
+
 /// The recovery sweep driver: panic isolation per rollout, optional
 /// JSONL journalling with resume, cooperative cancellation, and
 /// round-robin worker sharding. Reports are reassembled in input-spec
 /// order, so the aggregate is bit-identical for any worker count.
-#[derive(Debug, Clone)]
+///
+/// Rollouts that inject at the same cycle fork from one shared
+/// fault-free prefix instead of each re-simulating it (DESIGN.md §11).
+/// The prefix is built by the first [`RecoveryCampaign::run_specs`] call
+/// that can use it and lives exactly as long as the campaign.
+#[derive(Debug)]
 pub struct RecoveryCampaign {
     cc: RecoveryCampaignConfig,
     harness: RecoveryHarness,
+    prefix: Mutex<Option<SharedPrefix>>,
 }
 
 impl RecoveryCampaign {
@@ -561,12 +631,39 @@ impl RecoveryCampaign {
     pub fn try_new(cc: RecoveryCampaignConfig) -> Result<RecoveryCampaign, CampaignError> {
         let harness =
             RecoveryHarness::try_new(cc.noc.clone(), cc.opts).map_err(CampaignError::Substrate)?;
-        Ok(RecoveryCampaign { cc, harness })
+        Ok(RecoveryCampaign {
+            cc,
+            harness,
+            prefix: Mutex::new(None),
+        })
     }
 
     /// The campaign's configuration.
     pub fn config(&self) -> &RecoveryCampaignConfig {
         &self.cc
+    }
+
+    /// The shared prefix for `todo`: the cached one while some spec of
+    /// `todo` still injects at its cycle, else one built for the first
+    /// forkable spec (replacing the cache). The build runs behind the
+    /// panic boundary; a panicking build is cached as `None`, so those
+    /// specs run from cycle 0 through [`RecoveryHarness::run_isolated`]
+    /// and crash there exactly as they would have without a prefix.
+    fn shared_prefix(&self, todo: &[FaultSpec]) -> Option<(Cycle, Arc<ClosedLoop>)> {
+        let mut slot = self.prefix.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = slot
+            .as_ref()
+            .is_some_and(|(start, _)| todo.iter().any(|s| s.start == *start));
+        if !cached {
+            let start = todo
+                .iter()
+                .map(|s| s.start)
+                .find(|&start| self.harness.forkable(start))?;
+            let built = catch_payload(|| self.harness.prefix(start)).ok();
+            *slot = Some((start, built.map(Arc::new)));
+        }
+        let (start, lp) = slot.as_ref()?;
+        Some((*start, Arc::clone(lp.as_ref()?)))
     }
 
     /// Runs every spec, `threads`-wide. One report per input spec, in
@@ -614,86 +711,68 @@ impl RecoveryCampaign {
             .filter(|s| !done.contains_key(s))
             .collect();
 
+        let prefix = self.shared_prefix(&todo);
         let run_spec = |spec: &FaultSpec| -> RecoverySiteReport {
-            RecoverySiteReport {
-                spec: *spec,
-                run: self.harness.run_isolated(Some(spec)),
-            }
+            let run = match &prefix {
+                Some((start, lp)) if spec.start == *start => isolate(Some(spec), || {
+                    self.harness.finish(Some(spec), ClosedLoop::clone(lp))
+                }),
+                _ => self.harness.run_isolated(Some(spec)),
+            };
+            RecoverySiteReport { spec: *spec, run }
         };
 
-        let mut fresh: Vec<RecoverySiteReport> = Vec::new();
-        if threads <= 1 || todo.len() < 2 {
-            let mut writer = match &journal {
-                Some(j) => Some(jsonl::Appender::open_shard(&j.dir, 0)?),
-                None => None,
-            };
-            for spec in &todo {
+        // Round-robin sharding, like the fault campaigns: worker `w` takes
+        // specs `w`, `w+workers`, …, so the shard a rollout lands in is a
+        // pure function of its index and the worker count.
+        let workers = threads.min(todo.len()).max(1);
+        let writers = (0..workers)
+            .map(|i| {
+                journal
+                    .as_ref()
+                    .map(|j| jsonl::Appender::open_shard(&j.dir, i))
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let shard = |w: usize, mut writer: Option<jsonl::Appender>| {
+            let mut out = Vec::new();
+            for spec in todo.iter().skip(w).step_by(workers) {
                 if opts.cancelled() {
                     break;
                 }
                 let rep = run_spec(spec);
-                if let Some(w) = &mut writer {
-                    w.append(&rep)?;
+                if let Some(wr) = &mut writer {
+                    wr.append(&rep)?;
                 }
-                fresh.push(rep);
+                out.push(rep);
             }
-        } else {
-            // Round-robin sharding, like the fault campaigns: worker `w`
-            // takes specs `w`, `w+workers`, …, so the shard a rollout
-            // lands in is a pure function of its index and the worker
-            // count.
-            let workers = threads.min(todo.len());
-            let mut writers: Vec<Option<jsonl::Appender>> = Vec::new();
-            for i in 0..workers {
-                writers.push(match &journal {
-                    Some(j) => Some(jsonl::Appender::open_shard(&j.dir, i)?),
-                    None => None,
-                });
+            Ok::<_, CampaignError>(out)
+        };
+        let shard = &shard;
+        let results = std::thread::scope(|scope| {
+            let mut writers = writers.into_iter().enumerate();
+            let first = writers.next().and_then(|(_, w)| w);
+            let handles: Vec<_> = writers
+                .map(|(w, writer)| scope.spawn(move || shard(w, writer)))
+                .collect();
+            // The calling thread is worker 0: one thread (and one allocator
+            // arena) fewer than a spawned pool.
+            let mut results = vec![panic::catch_unwind(AssertUnwindSafe(|| shard(0, first)))];
+            for h in handles {
+                results.push(h.join());
             }
-            let todo = &todo;
-            let run_spec = &run_spec;
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = writers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, mut writer)| {
-                        scope.spawn(move || -> Result<Vec<RecoverySiteReport>, CampaignError> {
-                            let mut out = Vec::new();
-                            for spec in todo.iter().skip(w).step_by(workers) {
-                                if opts.cancelled() {
-                                    break;
-                                }
-                                let rep = run_spec(spec);
-                                if let Some(wr) = &mut writer {
-                                    wr.append(&rep)?;
-                                }
-                                out.push(rep);
-                            }
-                            Ok(out)
-                        })
+            results
+        });
+        for r in results {
+            match r {
+                Ok(Ok(fresh)) => done.extend(fresh.into_iter().map(|r| (r.spec, r))),
+                Ok(Err(e)) => return Err(e),
+                Err(p) => {
+                    return Err(CampaignError::WorkerLost {
+                        detail: format!("{p:?}"),
                     })
-                    .collect();
-                let mut results = Vec::new();
-                for h in handles {
-                    results.push(h.join());
-                }
-                results
-            });
-            for r in results {
-                match r {
-                    Ok(Ok(v)) => fresh.extend(v),
-                    Ok(Err(e)) => return Err(e),
-                    Err(p) => {
-                        return Err(CampaignError::WorkerLost {
-                            detail: format!("{p:?}"),
-                        })
-                    }
                 }
             }
-        }
-
-        for r in fresh {
-            done.insert(r.spec, r);
         }
         let mut reports = Vec::with_capacity(specs.len());
         let mut interrupted = false;
@@ -808,6 +887,80 @@ mod tests {
             .expect("direct");
         assert_eq!(direct.reports, first.reports);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn campaign_keeps_one_prefix_keyed_by_injection_cycle() {
+        let mut cfg = NocConfig::small_test();
+        cfg.injection_rate = 0.05;
+        let campaign = RecoveryCampaign::try_new(RecoveryCampaignConfig {
+            noc: cfg.clone(),
+            opts: small_opts(),
+        })
+        .expect("valid");
+        let at = |start: Cycle| -> Vec<FaultSpec> {
+            standard_recovery_specs(&cfg, start, 50, 10)
+                .into_iter()
+                .take(2)
+                .collect()
+        };
+        let cached = || {
+            let slot = campaign.prefix.lock().expect("unpoisoned");
+            slot.as_ref().map(|(start, lp)| {
+                let lp = Arc::clone(lp.as_ref().expect("prefix built"));
+                assert_eq!(lp.net.cycle(), *start, "prefix stepped to its key");
+                (*start, lp)
+            })
+        };
+        let none = RecoveryCampaignOptions::default();
+        assert!(cached().is_none(), "the constructor builds no prefix");
+
+        campaign.run_specs(&at(500), 2, &none).expect("sweep");
+        let (start, first) = cached().expect("built on first use");
+        assert_eq!(start, 500);
+
+        // Still in use by part of the next work-list: kept, not rebuilt.
+        let mixed = [at(800), at(500)].concat();
+        campaign.run_specs(&mixed, 1, &none).expect("sweep");
+        let (start, kept) = cached().expect("kept");
+        assert_eq!(start, 500);
+        assert!(Arc::ptr_eq(&first, &kept));
+
+        // No spec past the active window can use a prefix: cache untouched.
+        let late = at(campaign.harness.active_end() + 1);
+        campaign.run_specs(&late, 1, &none).expect("sweep");
+        assert!(Arc::ptr_eq(&first, &cached().expect("kept").1));
+
+        campaign.run_specs(&at(800), 1, &none).expect("sweep");
+        assert_eq!(cached().expect("re-keyed").0, 800);
+    }
+
+    #[test]
+    fn a_panicking_prefix_build_falls_back_to_isolated_rollouts() {
+        let cfg = NocConfig::small_test();
+        let specs: Vec<FaultSpec> = standard_recovery_specs(&cfg, 500, 50, 10)
+            .into_iter()
+            .take(3)
+            .collect();
+        // Invalid traffic: `Network::new` panics in every rollout and in
+        // the prefix build alike.
+        let mut broken = cfg;
+        broken.injection_rate = 2.0;
+        let campaign = RecoveryCampaign::try_new(RecoveryCampaignConfig {
+            noc: broken.clone(),
+            opts: small_opts(),
+        })
+        .expect("options are valid");
+        let report = campaign
+            .run_specs(&specs, 2, &RecoveryCampaignOptions::default())
+            .expect("crashes are outcomes");
+        let harness = RecoveryHarness::try_new(broken, small_opts()).expect("valid options");
+        for (spec, rep) in specs.iter().zip(&report.reports) {
+            assert!(matches!(rep.run.outcome, RecoveryOutcome::Crashed(_)));
+            assert_eq!(rep.run, harness.run_isolated(Some(spec)));
+        }
+        let slot = campaign.prefix.lock().expect("unpoisoned");
+        assert!(matches!(slot.as_ref(), Some((500, None))));
     }
 
     #[test]

@@ -32,16 +32,27 @@ pub struct Request {
     pub body: String,
 }
 
+/// Longest request line or header line the server reads, in bytes
+/// (line terminator included). Longer lines are refused, never buffered.
+pub const MAX_HEADER_LINE: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+pub const MAX_HEADERS: usize = 64;
+
 /// Reads one HTTP/1.1 request from `stream`.
 ///
 /// # Errors
 ///
-/// I/O failures, a malformed request line, an oversized or non-UTF-8
-/// body.
+/// I/O failures, a malformed request line, a request or header line
+/// longer than [`MAX_HEADER_LINE`], more than [`MAX_HEADERS`] headers, an
+/// oversized or non-UTF-8 body.
 pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    parse_request(BufReader::new(stream.try_clone()?))
+}
+
+/// [`read_request`] over any buffered reader.
+fn parse_request(mut reader: impl BufRead) -> io::Result<Request> {
+    let line = read_header_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -49,14 +60,16 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
         return Err(proto_err("malformed request line"));
     }
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+        let header = read_header_line(&mut reader)?;
         let trimmed = header.trim();
         if trimmed.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(proto_err(format!("more than {MAX_HEADERS} headers")));
         }
         let lower = trimmed.to_ascii_lowercase();
         if let Some(v) = lower.strip_prefix("content-length:") {
@@ -70,6 +83,19 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body).map_err(proto_err)?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one request or header line of at most [`MAX_HEADER_LINE`]
+/// bytes; empty at end of stream.
+fn read_header_line(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader.take(MAX_HEADER_LINE as u64).read_line(&mut line)?;
+    if n == MAX_HEADER_LINE && !line.ends_with('\n') {
+        return Err(proto_err(format!(
+            "header line longer than {MAX_HEADER_LINE} bytes"
+        )));
+    }
+    Ok(line)
 }
 
 /// Writes a complete `Content-Length`-framed response and flushes.
@@ -258,5 +284,40 @@ pub fn stream_events(
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(raw: &str) -> io::Result<Request> {
+        parse_request(raw.as_bytes())
+    }
+
+    #[test]
+    fn well_formed_request_parses() {
+        let req = parse("POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}")
+            .expect("valid request");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs"));
+        assert_eq!(req.body, "{}");
+    }
+
+    #[test]
+    fn header_lines_and_counts_are_bounded() {
+        let long = "x".repeat(MAX_HEADER_LINE);
+        let err = parse(&format!("GET /healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"))
+            .expect_err("overlong header line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("header line longer"), "{err}");
+        // An endless request line without a newline is refused too.
+        let err = parse(&format!("GET /{long}")).expect_err("overlong request line");
+        assert!(err.to_string().contains("header line longer"), "{err}");
+
+        let at_cap = "X-H: 1\r\n".repeat(MAX_HEADERS);
+        assert!(parse(&format!("GET /healthz HTTP/1.1\r\n{at_cap}\r\n")).is_ok());
+        let err = parse(&format!("GET /healthz HTTP/1.1\r\n{at_cap}X-H: 1\r\n\r\n"))
+            .expect_err("too many headers");
+        assert!(err.to_string().contains("headers"), "{err}");
     }
 }

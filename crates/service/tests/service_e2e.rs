@@ -281,3 +281,34 @@ fn sse_incident_stream_for_one_fault_job() {
         "stored incidents diverged from streamed ones"
     );
 }
+
+/// A `POST /jobs` body of a million `[` bytes (under `MAX_BODY`) once
+/// overflowed the connection thread's stack in the recursive JSON parser
+/// and aborted the whole daemon. It must be refused with a 400 while the
+/// daemon keeps serving.
+#[test]
+fn deeply_nested_spec_is_refused_and_the_daemon_survives() {
+    let data_dir = temp_dir("nesting");
+    let mut server = Server::start(&data_dir, "only");
+    let body = "[".repeat(1_000_000);
+    let (status, response) =
+        http::request(&server.addr, "POST", "/jobs", Some(&body)).expect("submit request");
+    assert_eq!(
+        status, 400,
+        "deep nesting must be a bad request: {response}"
+    );
+    assert!(
+        response.contains("nesting"),
+        "refusal names the cause: {response}"
+    );
+
+    let (status, body) =
+        http::request(&server.addr, "GET", "/healthz", None).expect("daemon still reachable");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    assert!(
+        server.child.try_wait().expect("poll daemon").is_none(),
+        "daemon exited"
+    );
+    server.kill();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
