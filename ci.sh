@@ -36,6 +36,13 @@ RECOVERY_SWEEP="$(python3 perfbench/run.py --workload recovery-sweep --seconds 5
 python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     "$RECOVERY_SWEEP" || { echo "recovery-sweep: $RECOVERY_SWEEP" >&2; exit 1; }
 
+echo "== transient-sweep benchmark (job digests match perfbench/expected.json) =="
+# Only transient jobs run the golden trajectory build, the resync ladder and
+# the sustained-fault probe pass, all of which step the router.
+TRANSIENT_SWEEP="$(python3 perfbench/run.py --workload transient-sweep --seconds 5 --trace 0 | tail -n 1)"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+    "$TRANSIENT_SWEEP" || { echo "transient-sweep: $TRANSIENT_SWEEP" >&2; exit 1; }
+
 echo "== service smoke (nocalertd end-to-end: submit, stream, SIGKILL, resume) =="
 cargo build -q --release -p nocalert-service
 NOCALERTD=target/release/nocalertd

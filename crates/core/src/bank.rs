@@ -15,7 +15,7 @@ use noc_sim::routing::{productive, route_avoiding, turn_legal};
 use noc_sim::Observer;
 use noc_types::config::{BufferPolicy, NocConfig};
 use noc_types::geometry::{Coord, Direction, NodeId};
-use noc_types::record::{CycleRecord, EjectEvent, RcEvent, REGION_NONE};
+use noc_types::record::{CycleRecord, EjectEvent, RcEvent, XbarEvent, REGION_NONE};
 use noc_types::{Cycle, Flit};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -335,6 +335,15 @@ impl AlertBank {
 
 impl Observer for AlertBank {
     fn on_cycle_record(&mut self, cycle: Cycle, rec: &CycleRecord) {
+        // The bank is memoryless across records (see
+        // `on_quiescent_cycles`): a record with every event list empty and
+        // an all-zero crossbar summary trips no checker, so it is skipped
+        // outright. `is_quiet` alone is not enough: a quiet record can
+        // still carry a crossbar matrix or counts (a faulty column with no
+        // flit on it) that invariances 14–16 must see.
+        if rec.is_quiet() && rec.xbar == XbarEvent::default() {
+            return;
+        }
         let router = rec.router;
         let mesh = self.cfg.mesh;
         let cur = mesh.coord(NodeId(router));

@@ -13,6 +13,76 @@ use noc_types::site::{FaultKind, SignalKind, SiteRef};
 use noc_types::Cycle;
 use serde::{Deserialize, Serialize};
 
+/// The wire transform a router step drives every module-boundary signal
+/// through.
+///
+/// [`FaultPlane`] is the faulty one, used for routers with a fault or
+/// probe armed ([`FaultPlane::router_armed`]). [`IdentityWires`] is the
+/// fault-free one every other router uses: its `xf` compiles away, and
+/// because an identity wire can never fire on an idle VC, the router may
+/// restrict its stage loops to live VCs. One router source, two
+/// monomorphizations.
+pub trait Wires {
+    /// True when [`Wires::xf`] is the identity for every signal.
+    const IDENTITY: bool;
+
+    /// Transforms the wire `value` of `signal` at instance
+    /// `(router, port, vc)` during `cycle`.
+    fn xf(
+        &mut self,
+        cycle: Cycle,
+        router: u16,
+        port: u8,
+        vc: u8,
+        signal: SignalKind,
+        value: u64,
+    ) -> u64;
+
+    /// Boolean-wire convenience wrapper around [`Wires::xf`].
+    #[inline]
+    fn xf_bool(
+        &mut self,
+        cycle: Cycle,
+        router: u16,
+        port: u8,
+        vc: u8,
+        signal: SignalKind,
+        value: bool,
+    ) -> bool {
+        self.xf(cycle, router, port, vc, signal, value as u64) & 1 == 1
+    }
+}
+
+/// Fault-free wires: every signal passes through untouched.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentityWires;
+
+impl Wires for IdentityWires {
+    const IDENTITY: bool = true;
+
+    #[inline(always)]
+    fn xf(&mut self, _: Cycle, _: u16, _: u8, _: u8, _: SignalKind, value: u64) -> u64 {
+        value
+    }
+}
+
+impl Wires for FaultPlane {
+    const IDENTITY: bool = false;
+
+    #[inline]
+    fn xf(
+        &mut self,
+        cycle: Cycle,
+        router: u16,
+        port: u8,
+        vc: u8,
+        signal: SignalKind,
+        value: u64,
+    ) -> u64 {
+        FaultPlane::xf(self, cycle, router, port, vc, signal, value)
+    }
+}
+
 /// A fault armed on one site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArmedFault {
@@ -31,8 +101,8 @@ pub struct ArmedFault {
 /// population of permanents via [`FaultPlane::arm_additional`]. `hits`
 /// counts how many times any armed bit actually flipped a live wire (used
 /// by coverage tests and the campaign driver to discard vacuous
-/// injections). The hot path (no fault, or no fault on this router) stays
-/// a couple of compares.
+/// injections). Only routers with a fault or probe armed step through it;
+/// every other router steps through [`IdentityWires`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlane {
     faults: Vec<ArmedFault>,
@@ -41,9 +111,8 @@ pub struct FaultPlane {
     routers: Vec<u16>,
     /// Bit `r` set iff router id `r < 64` appears in `routers`. Router
     /// ids ≥ 64 (meshes larger than 8×8) fall back to the sorted vec.
-    /// This keeps the per-wire [`FaultPlane::xf`] hot path — *every*
-    /// signal of *every* stepped router goes through it — to a shift and
-    /// a mask even while faults are armed elsewhere in the mesh.
+    /// This keeps [`FaultPlane::router_armed`], asked for every router
+    /// every cycle, to a shift and a mask.
     router_mask: u64,
     hits: u64,
     /// Pass-through probe faults: evaluated exactly like `faults` but the
@@ -299,20 +368,6 @@ impl FaultPlane {
             }
         }
         value
-    }
-
-    /// Boolean-wire convenience wrapper around [`FaultPlane::xf`].
-    #[inline]
-    pub fn xf_bool(
-        &mut self,
-        cycle: Cycle,
-        router: u16,
-        port: u8,
-        vc: u8,
-        signal: SignalKind,
-        value: bool,
-    ) -> bool {
-        self.xf(cycle, router, port, vc, signal, value as u64) & 1 == 1
     }
 }
 

@@ -50,7 +50,7 @@ pub mod transport;
 pub mod vc;
 
 pub use adversary::{Adversary, AttackIntent, AttackStats};
-pub use fault_plane::{ArmedFault, FaultPlane};
+pub use fault_plane::{ArmedFault, FaultPlane, IdentityWires, Wires};
 pub use fault_region::{FaultRegionMap, RegionGrowth};
 pub use network::{NetStats, Network, NullObserver, Observer};
 pub use recovery::{

@@ -18,13 +18,13 @@
 //! makes the paper-scale sweep tractable.
 
 use crate::adversary::{Adversary, AttackIntent, AttackStats};
-use crate::fault_plane::{ArmedFault, FaultPlane};
+use crate::fault_plane::{ArmedFault, FaultPlane, IdentityWires};
 use crate::fault_region::FaultRegionMap;
 use crate::nic::Nic;
 use crate::recovery::{
     ContainmentEvent, ContainmentLevel, RecoveryController, RecoveryPolicy, RecoveryStats,
 };
-use crate::router::{CreditMsg, Router, RouterScratch, P};
+use crate::router::{bits, CreditMsg, Router, RouterScratch, P};
 use noc_types::config::{NocConfig, RoutingAlgorithm};
 use noc_types::flit::make_packet;
 use noc_types::geometry::{Direction, NodeId};
@@ -182,8 +182,53 @@ struct RecoveryState {
     /// Worm-age monitor state, one slot per input VC, indexed
     /// `(router * P + port) * vcs + vc`.
     ages: Vec<WormWatch>,
+    /// Per router and input port, the VCs whose `ages` slot may be off
+    /// its default: the VCs that were busy at the last scan.
+    aged: Vec<[u64; P]>,
     trace: Vec<ContainmentEvent>,
     stats: RecoveryStats,
+}
+
+impl RecoveryState {
+    /// One worm-age monitor visit of the input VCs `visit` of `router`
+    /// (index `ri`): each slot follows its VC's head uid, and a VC stalled
+    /// for `stall_age` cycles is queued for containment.
+    fn age_router(&mut self, ri: usize, router: &Router, vcs: usize, visit: &[u64; P]) {
+        let stall_age = self.policy.stall_age;
+        for (p, &mask) in visit.iter().enumerate() {
+            for v in bits(mask) {
+                let w = &mut self.ages[(ri * P + p) * vcs + v as usize];
+                let token = match router.input_head_uid(p as u8, v) {
+                    // A headless in-flight VC (non-idle, buffer fully
+                    // drained) makes no observable head progress either:
+                    // age it under a sentinel uid no real flit carries,
+                    // so an orphaned worm fragment that forwarded all
+                    // its buffered flits still escalates instead of
+                    // holding its downstream allocation forever.
+                    None if router.input_vc(p as u8, v).state != crate::vc::state::IDLE
+                        && !router.input_vc_disabled(p as u8, v) =>
+                    {
+                        Some(u64::MAX)
+                    }
+                    other => other,
+                };
+                match token {
+                    Some(uid) if uid == w.uid => {
+                        w.age += 1;
+                        if w.age >= stall_age {
+                            self.pending.push((ri as u16, p as u8, v));
+                            w.age = 0;
+                        }
+                    }
+                    Some(uid) => {
+                        w.uid = uid;
+                        w.age = 0;
+                    }
+                    None => *w = WormWatch::default(),
+                }
+            }
+        }
+    }
 }
 
 /// The simulated network.
@@ -192,6 +237,11 @@ pub struct Network {
     cfg: NocConfig,
     cycle: Cycle,
     routers: Vec<Router>,
+    /// Per router, a superset of its busy input VCs ([`Router::busy_vcs`]):
+    /// exact after its last step, and between steps VCs only drain or are
+    /// reset by containment. The one exception, a register upset, hits
+    /// only an armed router, whose step scans every VC anyway.
+    busy: Vec<[u64; P]>,
     nics: Vec<Nic>,
     plane: FaultPlane,
     scratch: RouterScratch,
@@ -230,6 +280,7 @@ impl Clone for Network {
             cfg: self.cfg.clone(),
             cycle: self.cycle,
             routers: self.routers.clone(),
+            busy: self.busy.clone(),
             nics: self.nics.clone(),
             plane: self.plane.clone(),
             scratch: self.scratch.clone(),
@@ -252,6 +303,7 @@ impl Clone for Network {
         self.cfg.clone_from(&src.cfg);
         self.cycle = src.cycle;
         self.routers.clone_from(&src.routers);
+        self.busy.clone_from(&src.busy);
         self.nics.clone_from(&src.nics);
         self.plane = src.plane.clone();
         self.scratch.clone_from(&src.scratch);
@@ -295,6 +347,7 @@ impl Network {
         let n = cfg.mesh.len() as u16;
         Ok(Network {
             routers: (0..n).map(|i| Router::new(&cfg, i)).collect(),
+            busy: vec![[0; P]; n as usize],
             nics: (0..n).map(|i| Nic::new(&cfg, NodeId(i))).collect(),
             plane: FaultPlane::new(),
             scratch: RouterScratch::default(),
@@ -654,6 +707,7 @@ impl Network {
             controllers: (0..n).map(|_| RecoveryController::new()).collect(),
             pending: Vec::new(),
             ages: vec![WormWatch::default(); n * P * vcs],
+            aged: vec![[0; P]; n],
             trace: Vec::new(),
             stats: RecoveryStats::default(),
         });
@@ -940,47 +994,59 @@ impl Network {
     /// `BufEmpty` can wedge a worm in a state that raises no further
     /// invariance violations, which no alert-driven path can see. No-op
     /// (and zero cost) when recovery is disabled.
+    ///
+    /// Only VCs busy now or at the previous scan are visited: every
+    /// other VC is idle and empty (quarantined ones are drained before
+    /// they are disabled), and its slot already holds the default a visit
+    /// would write.
     fn scan_worm_progress(&mut self) {
         let Some(rs) = self.recovery.as_mut() else {
             return;
         };
         let vcs = self.cfg.vcs_per_port as usize;
-        let stall_age = rs.policy.stall_age;
         for (ri, router) in self.routers.iter().enumerate() {
+            let busy = self.busy[ri];
+            let mut visit = rs.aged[ri];
             for p in 0..P {
-                for v in 0..vcs {
-                    let w = &mut rs.ages[(ri * P + p) * vcs + v];
-                    let token = match router.input_head_uid(p as u8, v as u8) {
-                        // A headless in-flight VC (non-idle, buffer fully
-                        // drained) makes no observable head progress either:
-                        // age it under a sentinel uid no real flit carries,
-                        // so an orphaned worm fragment that forwarded all
-                        // its buffered flits still escalates instead of
-                        // holding its downstream allocation forever.
-                        None if router.input_vc(p as u8, v as u8).state
-                            != crate::vc::state::IDLE
-                            && !router.input_vc_disabled(p as u8, v as u8) =>
-                        {
-                            Some(u64::MAX)
-                        }
-                        other => other,
-                    };
-                    match token {
-                        Some(uid) if uid == w.uid => {
-                            w.age += 1;
-                            if w.age >= stall_age {
-                                rs.pending.push((ri as u16, p as u8, v as u8));
-                                w.age = 0;
-                            }
-                        }
-                        Some(uid) => {
-                            w.uid = uid;
-                            w.age = 0;
-                        }
-                        None => *w = WormWatch::default(),
-                    }
-                }
+                visit[p] |= busy[p];
             }
+            if visit != [0; P] {
+                rs.aged[ri] = busy;
+                rs.age_router(ri, router, vcs, &visit);
+            }
+        }
+    }
+
+    /// Phase 1 for router `i`: resets the record to it and steps it.
+    ///
+    /// A router with a fault or probe armed steps through the fault
+    /// plane, which scans every VC and counts hits. Every other router
+    /// steps through identity wires, visiting only its busy VCs — or not
+    /// at all when it is quiescent: no busy VC, no latched switch
+    /// read/grant and nothing on its links provably performs no state
+    /// change and emits an empty record (arbiters do not rotate on zero
+    /// requests, result buses only latch on grants, the state table only
+    /// writes on events), so skipping it is bit-identical.
+    ///
+    /// Not generic, so the two `Router::step` instantiations are compiled
+    /// once here rather than in every crate that instantiates
+    /// `step_observed`.
+    fn step_router(&mut self, i: usize, cy: Cycle) {
+        let Network {
+            cfg,
+            routers,
+            busy,
+            plane,
+            scratch,
+            record,
+            ..
+        } = self;
+        let (r, busy) = (&mut routers[i], &mut busy[i]);
+        record.reset(r.id());
+        if plane.router_armed(r.id()) {
+            r.step(cfg, cy, plane, scratch, record, busy);
+        } else if *busy != [0; P] || !r.links_quiet() {
+            r.step(cfg, cy, &mut IdentityWires, scratch, record, busy);
         }
     }
 
@@ -1004,7 +1070,6 @@ impl Network {
         // worm-age monitor queues stall escalations for the next one ----
         self.apply_recovery(cy);
         self.scan_worm_progress();
-        let cfg = &self.cfg;
 
         // ---- Phase 0: single-event upsets on state registers ----
         for i in 0..self.plane.fault_count() {
@@ -1021,31 +1086,13 @@ impl Network {
         }
 
         // ---- Phase 1: routers ----
-        // Quiescent fast path: a router with every VC idle and empty, no
-        // latched switch reads/grants and nothing on its links provably
-        // performs no state change and emits an empty record (arbiters do
-        // not rotate on zero requests, result buses only latch on grants,
-        // the state table only writes on events). Skipping its step is
-        // bit-identical — unless an armed fault targets this router, in
-        // which case `FaultPlane::xf` could flip its wires (and must count
-        // hits), so the full step always runs there.
-        for r in &mut self.routers {
-            self.record.reset(r.id());
-            if !self.plane.router_armed(r.id()) && r.is_quiescent() {
-                obs.on_cycle_record(cy, &self.record);
-                continue;
-            }
-            r.step(
-                cfg,
-                cy,
-                &mut self.plane,
-                &mut self.scratch,
-                &mut self.record,
-            );
+        for i in 0..self.routers.len() {
+            self.step_router(i, cy);
             obs.on_cycle_record(cy, &self.record);
         }
 
         // ---- Phase 2: transport ----
+        let cfg = &self.cfg;
         // 2a. NIs drain ejection buffers (flits that arrived ≤ last cycle)
         // into the network's reused scratch buffers.
         for i in 0..self.nics.len() {
@@ -1342,6 +1389,45 @@ mod tests {
         assert_eq!(stats.regions_formed, 1);
         assert_eq!(stats.routers_absorbed, 1);
         assert!(stats.reroutes_taken > 0, "detours must be counted");
+    }
+
+    /// The worm-age monitor visits only VCs busy now or at the previous
+    /// scan; at every cycle that must leave the same slots and queue the
+    /// same stall escalations as visiting every VC. The carried busy
+    /// sets must equal a fresh `busy_vcs` pass after every step.
+    #[test]
+    fn worm_age_scan_skips_only_vcs_a_visit_would_not_change() {
+        let mut cfg = NocConfig::small_test();
+        cfg.injection_rate = 0.3;
+        let vcs = cfg.vcs_per_port as usize;
+        let mut net = Network::new(cfg);
+        net.enable_recovery(RecoveryPolicy {
+            stall_age: 25,
+            ..RecoveryPolicy::default_policy()
+        });
+        for _ in 0..1_500 {
+            let cy = net.cycle;
+            let mut full = net.clone();
+            full.apply_recovery(cy);
+            let mut fs = full.recovery.take().expect("recovery enabled");
+            let every = [(1u64 << vcs) - 1; P];
+            for (ri, r) in full.routers.iter().enumerate() {
+                fs.age_router(ri, r, vcs, &every);
+            }
+            let mut skipping = net.clone();
+            skipping.apply_recovery(cy);
+            skipping.scan_worm_progress();
+            let ss = skipping.recovery.as_ref().expect("recovery enabled");
+            assert_eq!(ss.ages, fs.ages, "cycle {cy}");
+            assert_eq!(ss.pending, fs.pending, "cycle {cy}");
+
+            net.step();
+            for (busy, r) in net.busy.iter().zip(&net.routers) {
+                assert_eq!(*busy, r.busy_vcs(), "cycle {cy}");
+            }
+        }
+        let s = net.recovery_stats();
+        assert!(s.alerts_consumed > 0 && s.resets > 0, "{s:?}");
     }
 
     #[test]

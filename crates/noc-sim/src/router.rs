@@ -15,7 +15,7 @@
 //!
 //! ## Fault honesty
 //!
-//! Every module-boundary wire is routed through [`FaultPlane::xf`] and the
+//! Every module-boundary wire is routed through [`Wires::xf`] and the
 //! *transformed* value drives both the downstream logic and the observation
 //! record. Consequences are modelled physically rather than sanitized:
 //!
@@ -25,9 +25,23 @@
 //! * an overrun buffer write destroys the oldest flit,
 //! * a suppressed read-enable silently keeps a flit that the crossbar
 //!   expected, and so on.
+//!
+//! ## Live-VC fast path
+//!
+//! [`Router::step`] is generic over its [`Wires`]. A router with a fault or
+//! probe armed steps through the [`FaultPlane`](crate::FaultPlane) and
+//! every stage scans every VC, because a fault can fire on an idle VC's
+//! wires. Every other router steps through
+//! [`IdentityWires`](crate::IdentityWires), where an idle, empty VC
+//! provably does nothing in any stage, so each stage visits only the
+//! *busy* VCs (non-idle or non-empty, not quarantined) plus the few it
+//! must: ST the latched reads (a containment squash can leave one on a VC
+//! that is now idle and empty, and it still replays stale data), BW the
+//! addressed VC, and the state table the VCs BW wrote. Both paths emit the
+//! same records (DESIGN.md §12).
 
 use crate::arbiter::RoundRobin;
-use crate::fault_plane::FaultPlane;
+use crate::fault_plane::Wires;
 use crate::routing::route;
 use crate::vc::{state, OutputPort, VirtualChannel};
 use noc_types::config::{BufferPolicy, NocConfig};
@@ -200,6 +214,10 @@ pub struct RouterScratch {
     rc_result: [[Option<u64>; 16]; P],
     va_result: [[Option<u64>; 16]; P],
     state_snap: [[u64; 16]; P],
+    /// SA1's per-VC `(out_port, out_vc)` wire reads for the port being
+    /// arbitrated; valid only where that port's target mask says so, so
+    /// it is never cleared.
+    sa_target: [(u64, u64); 16],
     row_flit: [Option<(Flit, u8)>; P],
     /// Deferred wormhole teardowns queued by the ST stage (reused so the
     /// hot loop never allocates).
@@ -316,24 +334,46 @@ impl Router {
             && self.st_read.iter().all(|&m| m == 0)
     }
 
-    /// True when this cycle's control step is provably a no-op: no credit
-    /// or flit pending on any link, no latched switch read/grant, and
-    /// every input VC idle with an empty buffer. Arbiters do not rotate on
-    /// zero requests and the state table only writes on events, so the
-    /// network may skip [`Router::step`] entirely for such a router (as
-    /// long as no fault is armed on it) and the outcome — state *and*
-    /// emitted record — is bit-identical.
-    pub(crate) fn is_quiescent(&self) -> bool {
+    /// Per input port, the VCs holding pipeline work: non-idle or
+    /// non-empty, and not quarantined. Every other VC is idle and empty,
+    /// and an idle, empty VC behind identity wires does nothing in any
+    /// pipeline stage.
+    pub(crate) fn busy_vcs(&self) -> [u64; P] {
+        let mut busy = [0u64; P];
+        for (p, port) in self.inputs.iter().enumerate() {
+            if !self.live[p] {
+                continue;
+            }
+            for (v, vc) in port.iter().enumerate() {
+                if vc.state != state::IDLE || !vc.buffer.is_empty() {
+                    busy[p] |= 1 << v;
+                }
+            }
+            busy[p] &= !self.input_disabled[p];
+        }
+        busy
+    }
+
+    /// True when nothing is pending on the router's links or latches: no
+    /// credit or flit arriving, no latched switch read/grant, no staged
+    /// output.
+    pub(crate) fn links_quiet(&self) -> bool {
         self.incoming_credits.is_empty()
             && self.st_read.iter().all(|&m| m == 0)
             && self.st_grant.iter().all(|&m| m == 0)
             && self.incoming.iter().all(Option::is_none)
             && self.out_flits.iter().all(Option::is_none)
-            && self
-                .inputs
-                .iter()
-                .flat_map(|port| port.iter())
-                .all(|vc| vc.state == state::IDLE && vc.buffer.is_empty())
+    }
+
+    /// True when this cycle's control step is provably a no-op: links and
+    /// latches quiet ([`Router::links_quiet`]) and no busy input VC
+    /// ([`Router::busy_vcs`]). Arbiters do not rotate on zero requests
+    /// and the state table only writes on events, so the network may skip
+    /// [`Router::step`] entirely for such a router (as long as no fault is
+    /// armed on it) and the outcome — state *and* emitted record — is
+    /// bit-identical.
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.links_quiet() && self.busy_vcs() == [0; P]
     }
 
     /// The uid of the flit at the head of input VC `(port, vc)`, or `None`
@@ -530,7 +570,7 @@ impl Router {
     }
 
     #[inline]
-    fn state_wire(&self, pl: &mut FaultPlane, cy: Cycle, p: u8, v: u8) -> u64 {
+    fn state_wire<W: Wires>(&self, pl: &mut W, cy: Cycle, p: u8, v: u8) -> u64 {
         pl.xf(
             cy,
             self.id,
@@ -543,34 +583,57 @@ impl Router {
 
     /// One full cycle of the router's control logic. `rec` must already be
     /// reset to this router.
-    pub fn step(
+    ///
+    /// `busy` carries [`Router::busy_vcs`] across steps: on entry a
+    /// superset of the busy VCs, on exit exactly the busy VCs. Through
+    /// [`IdentityWires`](crate::IdentityWires) the stages visit only those
+    /// (see the module docs); through a [`FaultPlane`](crate::FaultPlane)
+    /// they scan every VC and ignore the entry value.
+    pub fn step<W: Wires>(
         &mut self,
         cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
+        busy: &mut [u64; P],
     ) {
         let vcs = cfg.vcs_per_port;
         scratch.reset(vcs);
+        let all = (1u64 << vcs) - 1;
+        let mut scan = [0u64; P];
+        for p in 0..P {
+            if self.live[p] {
+                let cand = if W::IDENTITY { busy[p] } else { all };
+                scan[p] = cand & !self.input_disabled[p];
+            }
+        }
 
         self.apply_credits(cfg, cy);
         self.stage_st(cfg, cy, pl, scratch, rec);
         // Snapshot the state wires between ST and SA: this is the
-        // "state_before" the pipeline-order checkers reason about.
+        // "state_before" the pipeline-order checkers reason about. Faulty
+        // wires are sampled on quarantined VCs too (a fault there still
+        // counts its hits). Identity wires skip every VC outside `scan`:
+        // it is idle, and the reset snapshot already reads idle.
         for p in 0..P as u8 {
-            if !self.live[p as usize] {
-                continue;
-            }
-            for v in 0..vcs {
+            let snap = match (W::IDENTITY, self.live[p as usize]) {
+                (true, _) => scan[p as usize],
+                (false, true) => all,
+                (false, false) => 0,
+            };
+            for v in bits(snap) {
                 scratch.state_snap[p as usize][v as usize] = self.state_wire(pl, cy, p, v);
             }
         }
-        self.stage_sa(cfg, cy, pl, scratch, rec);
-        self.stage_va(cfg, cy, pl, scratch, rec);
-        self.stage_rc(cfg, cy, pl, scratch, rec);
-        self.stage_bw(cfg, cy, pl, rec);
-        self.state_table_update(cfg, cy, pl, scratch, rec);
+        self.stage_sa(cfg, cy, pl, scratch, rec, &scan);
+        self.stage_va(cfg, cy, pl, scratch, rec, &scan);
+        self.stage_rc(cfg, cy, pl, scratch, rec, &scan);
+        let written = self.stage_bw(cfg, cy, pl, rec);
+        for p in 0..P {
+            scan[p] |= written[p];
+        }
+        *busy = self.state_table_update(cy, pl, scratch, rec, &scan);
     }
 
     /// Applies credits that arrived on the reverse links. Drained in place
@@ -593,15 +656,15 @@ impl Router {
 
     /// ST stage: execute last cycle's SA decisions — buffer reads, port
     /// muxes, crossbar traversal, link launch, credit returns.
-    fn stage_st(
+    fn stage_st<W: Wires>(
         &mut self,
         cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
     ) {
-        let vcs = cfg.vcs_per_port;
+        let all = (1u64 << cfg.vcs_per_port) - 1;
         let non_atomic = cfg.buffer_policy == BufferPolicy::NonAtomic;
         let read_latch = std::mem::replace(&mut self.st_read, [0; P]);
         let grant_latch = std::mem::replace(&mut self.st_grant, [0; P]);
@@ -609,16 +672,20 @@ impl Router {
         // Per-port buffer reads + port mux. Tail-triggered wormhole
         // teardown is deferred until after crossbar traversal: the VC state
         // table's outputs (out_port / out_vc) are still driving the switch
-        // during this cycle.
+        // during this cycle. An identity read-enable fires exactly on the
+        // latched VCs — busy or not: a squash can leave a latched read on a
+        // VC that is now idle and empty, and it replays stale data.
         for p in 0..P as u8 {
             if !self.live[p as usize] {
                 continue;
             }
+            let cand = if W::IDENTITY {
+                read_latch[p as usize]
+            } else {
+                all
+            };
             let mut mux: Option<(Flit, u8)> = None;
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            for v in bits(cand & !self.input_disabled[p as usize]) {
                 let mut enabled = (read_latch[p as usize] >> v) & 1 == 1;
                 if enabled && cfg.speculative {
                     // Speculative switch allocation: the bid was made while
@@ -693,7 +760,7 @@ impl Router {
         let mut out_valid = 0u64;
         let mut out_count = 0u8;
         for o in 0..P as u8 {
-            if !self.live[o as usize] {
+            if !self.live[o as usize] || (W::IDENTITY && grant_latch[o as usize] == 0) {
                 continue;
             }
             let gr_in = pl.xf(
@@ -777,31 +844,30 @@ impl Router {
 
     /// SA stage: SA1 per input port (credits are checked here, per the
     /// paper), SA2 per output port; winners are latched for next cycle's ST.
-    fn stage_sa(
+    fn stage_sa<W: Wires>(
         &mut self,
         cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
+        scan: &[u64; P],
     ) {
         let vcs = cfg.vcs_per_port;
-        let mut sa1_winner: [Option<u8>; P] = [None; P];
+        // Per input port: the SA1 winner VC and its (out_port, out_vc).
+        let mut sa1_winner: [Option<(u8, u64, u64)>; P] = [None; P];
         let mut sa2_req = [0u64; P];
         let mut sa2_cand: [[Option<u8>; P]; P] = [[None; P]; P];
-        let mut vc_target: [[Option<(u64, u64)>; 16]; P] = [[None; 16]; P];
 
         for p in 0..P as u8 {
-            if !self.live[p as usize] {
+            if !self.live[p as usize] || (W::IDENTITY && scan[p as usize] == 0) {
                 continue;
             }
             let mut req = 0u64;
             let mut credit_mask = 0u64;
             let mut any_interest = false;
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            let mut targeted = 0u64;
+            for v in bits(scan[p as usize]) {
                 let st = self.state_wire(pl, cy, p, v);
                 let empty = pl.xf_bool(
                     cy,
@@ -832,7 +898,8 @@ impl Router {
                     SignalKind::VcOutVc,
                     self.inputs[p as usize][v as usize].out_vc,
                 );
-                vc_target[p as usize][v as usize] = Some((op, ovc));
+                scratch.sa_target[v as usize] = (op, ovc);
+                targeted |= 1 << v;
                 let credit = if speculating {
                     // Speculative bids cannot know the output VC yet; the
                     // credit gate moves to switch traversal (the squash).
@@ -862,32 +929,30 @@ impl Router {
             if g != 0 {
                 let v = g.trailing_zeros() as u8;
                 if v < vcs {
-                    sa1_winner[p as usize] = Some(v);
-                    let (op, _) = match vc_target[p as usize][v as usize] {
-                        Some(t) => t,
-                        None => {
-                            // A granted VC that never qualified: the port
-                            // control reads its (stale) target wires now.
-                            let op = pl.xf(
-                                cy,
-                                self.id,
-                                p,
-                                v,
-                                SignalKind::VcOutPort,
-                                self.inputs[p as usize][v as usize].out_port,
-                            ) & 0b111;
-                            let ovc = pl.xf(
-                                cy,
-                                self.id,
-                                p,
-                                v,
-                                SignalKind::VcOutVc,
-                                self.inputs[p as usize][v as usize].out_vc,
-                            );
-                            vc_target[p as usize][v as usize] = Some((op, ovc));
-                            (op, ovc)
-                        }
+                    let (op, ovc) = if (targeted >> v) & 1 == 1 {
+                        scratch.sa_target[v as usize]
+                    } else {
+                        // A granted VC that never qualified: the port
+                        // control reads its (stale) target wires now.
+                        let op = pl.xf(
+                            cy,
+                            self.id,
+                            p,
+                            v,
+                            SignalKind::VcOutPort,
+                            self.inputs[p as usize][v as usize].out_port,
+                        ) & 0b111;
+                        let ovc = pl.xf(
+                            cy,
+                            self.id,
+                            p,
+                            v,
+                            SignalKind::VcOutVc,
+                            self.inputs[p as usize][v as usize].out_vc,
+                        );
+                        (op, ovc)
                     };
+                    sa1_winner[p as usize] = Some((v, op, ovc));
                     if (op as usize) < P && self.live[op as usize] {
                         sa2_req[op as usize] |= 1 << p;
                         sa2_cand[op as usize][p as usize] = Some(v);
@@ -897,7 +962,7 @@ impl Router {
         }
 
         for o in 0..P as u8 {
-            if !self.live[o as usize] {
+            if !self.live[o as usize] || (W::IDENTITY && sa2_req[o as usize] == 0) {
                 continue;
             }
             let req_w = pl.xf(cy, self.id, o, 0, SignalKind::Sa2Req, sa2_req[o as usize]);
@@ -912,12 +977,11 @@ impl Router {
                 if (g >> p) & 1 == 0 {
                     continue;
                 }
-                if let Some(v) = sa1_winner[p as usize] {
+                if let Some((v, op, ovc)) = sa1_winner[p as usize] {
                     self.st_read[p as usize] |= 1 << v;
                     scratch.ev_sa[p as usize][v as usize] = true;
                     if winner.is_none() {
                         winner = Some((p, v));
-                        let (op, ovc) = vc_target[p as usize][v as usize].unwrap_or((0, 0));
                         winner_rc_port = Some(op);
                         winner_won_sa1 = sa2_cand[o as usize][p as usize] == Some(v);
                         // A speculative bid has no allocated VC yet: its
@@ -949,13 +1013,14 @@ impl Router {
 
     /// VA stage: VA1 per input port, VA2 per output port; winners get a
     /// downstream VC.
-    fn stage_va(
+    fn stage_va<W: Wires>(
         &mut self,
         cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
+        scan: &[u64; P],
     ) {
         let vcs = cfg.vcs_per_port;
         let mut va1_winner: [Option<u8>; P] = [None; P];
@@ -963,14 +1028,11 @@ impl Router {
         let mut va2_cand: [[Option<u8>; P]; P] = [[None; P]; P];
 
         for p in 0..P as u8 {
-            if !self.live[p as usize] {
+            if !self.live[p as usize] || (W::IDENTITY && scan[p as usize] == 0) {
                 continue;
             }
             let mut req = 0u64;
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            for v in bits(scan[p as usize]) {
                 if self.state_wire(pl, cy, p, v) == state::VA_PENDING {
                     req |= 1 << v;
                 }
@@ -1007,7 +1069,7 @@ impl Router {
         }
 
         for o in 0..P as u8 {
-            if !self.live[o as usize] {
+            if !self.live[o as usize] || (W::IDENTITY && va2_req[o as usize] == 0) {
                 continue;
             }
             // Only requests whose message class has a free downstream VC
@@ -1090,24 +1152,21 @@ impl Router {
     }
 
     /// RC stage: one routing computation per input port per cycle.
-    fn stage_rc(
+    fn stage_rc<W: Wires>(
         &mut self,
         cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
+        scan: &[u64; P],
     ) {
-        let vcs = cfg.vcs_per_port;
         for p in 0..P as u8 {
             if !self.live[p as usize] {
                 continue;
             }
             let mut pending = 0u64;
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            for v in bits(scan[p as usize]) {
                 if self.state_wire(pl, cy, p, v) == state::ROUTING {
                     pending |= 1 << v;
                 }
@@ -1218,20 +1277,32 @@ impl Router {
     }
 
     /// BW stage: write arriving link flits into the addressed VC buffers.
-    fn stage_bw(&mut self, cfg: &NocConfig, cy: Cycle, pl: &mut FaultPlane, rec: &mut CycleRecord) {
+    /// Returns, per input port, the VCs written.
+    fn stage_bw<W: Wires>(
+        &mut self,
+        cfg: &NocConfig,
+        cy: Cycle,
+        pl: &mut W,
+        rec: &mut CycleRecord,
+    ) -> [u64; P] {
         let vcs = cfg.vcs_per_port;
+        let mut written = [0u64; P];
         for p in 0..P as u8 {
-            if !self.live[p as usize] {
+            if !self.live[p as usize] || (W::IDENTITY && self.incoming[p as usize].is_none()) {
                 continue;
             }
             let arrival = self.incoming[p as usize].take();
             if let Some(lf) = arrival {
                 self.last_arrival[p as usize] = Some(lf);
             }
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            // Identity write-enables fire only on the addressed VC; a VC id
+            // out of range (corrupted upstream) addresses none.
+            let cand = match (W::IDENTITY, arrival) {
+                (false, _) => (1u64 << vcs) - 1,
+                (true, Some(lf)) if lf.vc < vcs => 1 << lf.vc,
+                (true, _) => 0,
+            };
+            for v in bits(cand & !self.input_disabled[p as usize]) {
                 let addressed = arrival.map(|lf| lf.vc == v).unwrap_or(false);
                 let wr = pl.xf_bool(cy, self.id, p, v, SignalKind::BufWrite, addressed);
                 if !wr {
@@ -1289,29 +1360,27 @@ impl Router {
                 if flit.is_head() && was_free {
                     vcref.state = state::ROUTING;
                 }
+                written[p as usize] |= 1 << v;
             }
         }
+        written
     }
 
     /// End-of-cycle state-table update: latch RC/VA results through the
     /// (possibly faulty) event wires and emit the VC snapshots checkers use.
-    fn state_table_update(
+    /// Visits the VCs in `scan` and returns the busy ones among them; every
+    /// VC outside `scan` is idle and empty (see [`Router::step`]).
+    fn state_table_update<W: Wires>(
         &mut self,
-        cfg: &NocConfig,
         cy: Cycle,
-        pl: &mut FaultPlane,
+        pl: &mut W,
         scratch: &mut RouterScratch,
         rec: &mut CycleRecord,
-    ) {
-        let vcs = cfg.vcs_per_port;
+        scan: &[u64; P],
+    ) -> [u64; P] {
+        let mut busy = [0u64; P];
         for p in 0..P as u8 {
-            if !self.live[p as usize] {
-                continue;
-            }
-            for v in 0..vcs {
-                if self.input_vc_disabled(p, v) {
-                    continue;
-                }
+            for v in bits(scan[p as usize]) {
                 let pi = p as usize;
                 let vi = v as usize;
                 let ev_rc = pl.xf_bool(
@@ -1353,6 +1422,9 @@ impl Router {
                 }
                 let vcref = &self.inputs[pi][vi];
                 let after = vcref.state;
+                if after != state::IDLE || !vcref.buffer.is_empty() {
+                    busy[pi] |= 1 << v;
+                }
                 let interesting = ev_rc
                     || ev_va
                     || ev_sa
@@ -1395,7 +1467,21 @@ impl Router {
                 }
             }
         }
+        busy
     }
+}
+
+/// The set bits of `m`, lowest first.
+#[inline]
+pub(crate) fn bits(mut m: u64) -> impl Iterator<Item = u8> {
+    std::iter::from_fn(move || {
+        if m == 0 {
+            return None;
+        }
+        let b = m.trailing_zeros() as u8;
+        m &= m - 1;
+        Some(b)
+    })
 }
 
 /// `u64` helper: `trailing_zeros` as `Option`, bounded by `limit`.

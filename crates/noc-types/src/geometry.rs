@@ -148,6 +148,7 @@ impl Coord {
     }
 
     /// The neighbouring coordinate in `dir`, if it stays within a `w×h` mesh.
+    #[inline]
     pub fn step(self, dir: Direction, w: u8, h: u8) -> Option<Coord> {
         match dir {
             Direction::North if self.y + 1 < h => Some(Coord::new(self.x, self.y + 1)),
@@ -266,6 +267,7 @@ impl Mesh {
 
     /// The neighbour of `n` in direction `dir`, or `None` at a mesh edge
     /// (and always `None` for `Local`).
+    #[inline]
     pub fn neighbor(self, n: NodeId, dir: Direction) -> Option<NodeId> {
         if !dir.is_cardinal() {
             return None;

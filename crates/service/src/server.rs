@@ -31,9 +31,16 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
+use std::time::Duration;
 
 use crate::http;
 use crate::registry::{JobHandle, Registry};
+
+/// How long an accepted connection may sit silent while its request is
+/// read. Each connection holds a thread, so a client that connects and
+/// sends nothing would otherwise pin one forever; on expiry the server
+/// answers 408 and closes the connection.
+pub const CONN_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Serializes any compat-serde value to a JSON string (infallibly —
 /// the compat serializer is total).
@@ -221,8 +228,17 @@ fn handle_connection(
     queue: &JobQueue,
     mut stream: TcpStream,
 ) -> io::Result<()> {
+    stream.set_read_timeout(Some(CONN_READ_TIMEOUT))?;
     let request = match http::read_request(&stream) {
         Ok(r) => r,
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            return http::respond_error(&mut stream, 408, "Request Timeout", &e.to_string());
+        }
         Err(e) => {
             return http::respond_error(&mut stream, 400, "Bad Request", &e.to_string());
         }

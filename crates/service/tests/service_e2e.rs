@@ -10,6 +10,9 @@
 use golden::JobDriver;
 use noc_types::{JobKind, JobSpec, NocConfig};
 use nocalert_service::http;
+use nocalert_service::server::CONN_READ_TIMEOUT;
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -309,6 +312,40 @@ fn deeply_nested_spec_is_refused_and_the_daemon_survives() {
         server.child.try_wait().expect("poll daemon").is_none(),
         "daemon exited"
     );
+    server.kill();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A client that connects and sends nothing once held its connection
+/// thread forever. The server must time the read out, answer 408 and
+/// close the connection within `CONN_READ_TIMEOUT`, and keep serving.
+#[test]
+fn silent_connection_is_closed_after_the_read_timeout() {
+    let data_dir = temp_dir("silent");
+    let mut server = Server::start(&data_dir, "only");
+    let mut silent = TcpStream::connect(&server.addr).expect("connect");
+    let bound = CONN_READ_TIMEOUT + Duration::from_secs(5);
+    silent
+        .set_read_timeout(Some(bound))
+        .expect("client read timeout");
+    let opened = Instant::now();
+    let mut response = String::new();
+    silent
+        .read_to_string(&mut response)
+        .expect("the server closes the connection before the client gives up");
+    let waited = opened.elapsed();
+    assert!(
+        waited >= CONN_READ_TIMEOUT.saturating_sub(Duration::from_secs(1)) && waited < bound,
+        "closed after {waited:?}"
+    );
+    assert!(
+        response.starts_with("HTTP/1.1 408"),
+        "timeout is answered 408: {response}"
+    );
+
+    let (status, body) =
+        http::request(&server.addr, "GET", "/healthz", None).expect("daemon still reachable");
+    assert_eq!((status, body.as_str()), (200, "ok"));
     server.kill();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
